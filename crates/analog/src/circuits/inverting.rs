@@ -6,7 +6,7 @@
 //! instructive way: the input resistor `Rin` both sets the gain and
 //! adds noise, and the source sees a virtual-ground summing node.
 
-use crate::noise::ShapedNoise;
+use crate::noise::{ShapedNoise, SYNTH_BLOCK};
 use crate::opamp::OpampModel;
 use crate::units::{Kelvin, Ohms};
 use crate::AnalogError;
@@ -166,9 +166,12 @@ impl InvertingAmplifier {
             return Err(AnalogError::EmptyInput { context: "amplify" });
         }
         let mut noise = self.noise_stream(sample_rate, seed)?;
-        let own = noise.generate(input.len())?;
+        let mut out = noise.generate(input.len())?;
         let g = self.gain();
-        Ok(input.iter().zip(&own).map(|(&x, &n)| g * (x + n)).collect())
+        for (v, &x) in out.iter_mut().zip(input) {
+            *v = g * (x + *v);
+        }
+        Ok(out)
     }
 
     /// The input-referred noise generator a single
@@ -189,7 +192,7 @@ impl InvertingAmplifier {
                 }
             },
             sample_rate,
-            1 << 15,
+            SYNTH_BLOCK,
             seed,
         )
     }

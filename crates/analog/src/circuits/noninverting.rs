@@ -11,7 +11,7 @@
 //! and the *measured* NF in the Table 3 reproduction rest on identical
 //! physics.
 
-use crate::noise::ShapedNoise;
+use crate::noise::{ShapedNoise, SYNTH_BLOCK};
 use crate::opamp::OpampModel;
 use crate::units::{Kelvin, Ohms};
 use crate::AnalogError;
@@ -189,9 +189,12 @@ impl NonInvertingAmplifier {
             return Err(AnalogError::EmptyInput { context: "amplify" });
         }
         let mut noise = self.noise_stream(rs, sample_rate, seed)?;
-        let own = noise.generate(input.len())?;
+        let mut out = noise.generate(input.len())?;
         let g = self.gain();
-        Ok(input.iter().zip(&own).map(|(&x, &n)| g * (x + n)).collect())
+        for (v, &x) in out.iter_mut().zip(input) {
+            *v = g * (x + *v);
+        }
+        Ok(out)
     }
 
     /// The input-referred noise generator a single
@@ -223,7 +226,7 @@ impl NonInvertingAmplifier {
                 }
             },
             sample_rate,
-            1 << 15,
+            SYNTH_BLOCK,
             seed,
         )
     }

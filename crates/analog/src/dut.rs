@@ -106,9 +106,14 @@ impl DutStream for NoisyGainStream {
         if input.is_empty() {
             return Ok(());
         }
-        let own = self.noise.generate(input.len())?;
+        let start = out.len();
+        out.resize(start + input.len(), 0.0);
+        let own = &mut out[start..];
+        self.noise.fill(own)?;
         let g = self.gain;
-        out.extend(input.iter().zip(&own).map(|(&x, &n)| g * (x + n)));
+        for (v, &x) in own.iter_mut().zip(input) {
+            *v = g * (x + *v);
+        }
         self.fed = true;
         Ok(())
     }

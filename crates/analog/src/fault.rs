@@ -43,7 +43,7 @@
 use crate::bitstream::Bitstream;
 use crate::converter::{CaptureStream, Digitizer, Record};
 use crate::dut::{Dut, DutStream};
-use crate::noise::ShapedNoise;
+use crate::noise::{ShapedNoise, SYNTH_BLOCK};
 use crate::units::{Kelvin, Ohms};
 use crate::AnalogError;
 use rand::rngs::StdRng;
@@ -434,13 +434,10 @@ impl<D: Dut> Dut for FaultyDut<D> {
                             }
                         },
                         sample_rate,
-                        1 << 15,
+                        SYNTH_BLOCK,
                         fault_seed,
                     )?;
-                    let extra = noise.generate(out.len())?;
-                    for (v, n) in out.iter_mut().zip(&extra) {
-                        *v += n;
-                    }
+                    overlay_noise(&mut noise, &mut out, |_, v, n| *v += n)?;
                 }
                 AnalogFault::ReducedBandwidth { corner_hz } => {
                     let alpha = 1.0 - (-std::f64::consts::TAU * corner_hz / sample_rate).exp();
@@ -504,7 +501,7 @@ impl<D: Dut> Dut for FaultyDut<D> {
                             }
                         },
                         sample_rate,
-                        1 << 15,
+                        SYNTH_BLOCK,
                         fault_seed,
                     )?;
                     stages.push(OutputFaultStage::ExcessNoise { noise });
@@ -533,6 +530,26 @@ impl<D: Dut> Dut for FaultyDut<D> {
             emitted: 0,
         }))
     }
+}
+
+/// Draws the next `out.len()` samples of `noise` through a stack buffer
+/// and hands each to `apply(k, &mut out[k], sample)`, so overlaying
+/// noise on a record or chunk allocates nothing.
+fn overlay_noise(
+    noise: &mut ShapedNoise,
+    out: &mut [f64],
+    mut apply: impl FnMut(usize, &mut f64, f64),
+) -> Result<(), AnalogError> {
+    const PIECE: usize = 1024;
+    let mut buf = [0.0; PIECE];
+    for (p, piece) in out.chunks_mut(PIECE).enumerate() {
+        let drawn = &mut buf[..piece.len()];
+        noise.fill(drawn)?;
+        for (j, (v, &n)) in piece.iter_mut().zip(drawn.iter()).enumerate() {
+            apply(p * PIECE + j, v, n);
+        }
+    }
+    Ok(())
 }
 
 /// One output-stage fault as carried streaming state. Stages apply in
@@ -582,10 +599,7 @@ impl FaultyDutStream<'_> {
                     }
                 }
                 OutputFaultStage::ExcessNoise { noise } => {
-                    let extra = noise.generate(len)?;
-                    for (v, n) in self.produced.iter_mut().zip(&extra) {
-                        *v += n;
-                    }
+                    overlay_noise(noise, &mut self.produced, |_, v, n| *v += n)?;
                 }
                 OutputFaultStage::ReducedBandwidth { alpha, y } => {
                     for v in &mut self.produced {
@@ -1030,7 +1044,7 @@ impl<D: Dut> DriftingDut<D> {
                             }
                         },
                         sample_rate,
-                        1 << 15,
+                        SYNTH_BLOCK,
                         fault_seed,
                     )?;
                     stages.push(DriftStage::ExcessNoise { noise });
@@ -1090,11 +1104,10 @@ impl DriftStage {
                 }
             }
             DriftStage::ExcessNoise { noise } => {
-                let extra = noise.generate(chunk.len())?;
-                for (k, (v, n)) in chunk.iter_mut().zip(&extra).enumerate() {
+                overlay_noise(noise, chunk, |k, v, n| {
                     let s = cursor.at(base + k);
                     *v += s.sqrt() * n;
-                }
+                })?;
             }
             DriftStage::ReducedBandwidth { alpha, y } => {
                 for (k, v) in chunk.iter_mut().enumerate() {
@@ -2122,11 +2135,9 @@ mod tests {
     fn drifting_dut_is_healthy_before_the_step_and_louder_after() {
         let rs = Ohms::new(2_000.0);
         let fs = 2.0e4;
-        let seed = 13;
         let n = 1 << 15;
         let at = n / 2;
         let silence = vec![0.0; n];
-        let healthy = Dut::process(&paper_dut(), &silence, rs, fs, seed).unwrap();
         // Memoryless stages only (no bandwidth pole), so severity 0 is
         // the exact identity per sample.
         let dut = DriftingDut::new(paper_dut(), DriftSchedule::Step { at })
@@ -2138,14 +2149,32 @@ mod tests {
             .unwrap()
             .update_stride(256)
             .unwrap();
-        let out = dut.process(&silence, rs, fs, seed).unwrap();
-        for i in 0..at {
-            assert_eq!(out[i].to_bits(), healthy[i].to_bits(), "sample {i}");
+        let seeds = 13..25u64;
+        let mut ratio_sum = 0.0;
+        for seed in seeds.clone() {
+            let healthy = Dut::process(&paper_dut(), &silence, rs, fs, seed).unwrap();
+            let out = dut.process(&silence, rs, fs, seed).unwrap();
+            for i in 0..at {
+                assert_eq!(
+                    out[i].to_bits(),
+                    healthy[i].to_bits(),
+                    "seed {seed}, sample {i}"
+                );
+            }
+            let before = nfbist_dsp::stats::mean_square(&out[..at]).unwrap();
+            let after = nfbist_dsp::stats::mean_square(&out[at..]).unwrap();
+            ratio_sum += after / before;
         }
-        let before = nfbist_dsp::stats::mean_square(&out[..at]).unwrap();
-        let after = nfbist_dsp::stats::mean_square(&out[at..]).unwrap();
-        // Gain ×2 (power ×4) and noise ×8 ⇒ roughly 32× the power.
-        assert!(after / before > 10.0, "ratio {}", after / before);
+        // The input is silent, so the output is the DUT's own noise.
+        // After the step the gain doubles it (power ×4) and the excess
+        // stage, which follows the gain stage, adds (8 − 1)× that noise
+        // power: 4 + 7 = 11× in expectation. One seed's ratio has
+        // σ ≈ 0.54 (mean 11.01 over 400 seeds, 12 of them at or below
+        // 10), so the mean of 12 seeds has a standard error of ≈ 0.16
+        // and lies within ±1 of 11 except with probability ≈ 1.5e-10
+        // (normal approximation).
+        let mean = ratio_sum / seeds.count() as f64;
+        assert!((mean - 11.0).abs() < 1.0, "mean power ratio {mean}");
     }
 
     #[test]

@@ -4,9 +4,11 @@
 use crate::noise::standard_normal;
 use crate::AnalogError;
 use nfbist_dsp::complex::Complex64;
-use nfbist_dsp::fft::Fft;
+use nfbist_dsp::fft::RealFft;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Synthesizes Gaussian noise whose one-sided PSD follows a caller-
 /// supplied density function (V²/Hz vs Hz).
@@ -16,10 +18,17 @@ use rand::SeedableRng;
 ///
 /// Synthesis works block-wise: independent Gaussian spectral coefficients
 /// are drawn with variance proportional to the target density and
-/// inverse-transformed. Blocks are generated independently, which leaves
-/// a small spectral discontinuity at block joints; use a block length
-/// much larger than the analysis segment (the default 2¹⁶ against 10⁴
-/// segments keeps the artifact below the estimator noise floor).
+/// inverse-transformed by a real-input FFT. Blocks are generated
+/// independently, which leaves a small spectral discontinuity at block
+/// joints; use a block length much larger than the analysis segment (the
+/// circuit models' 2¹⁵ against 10³–10⁴-point segments keeps the artifact
+/// below the estimator noise floor).
+///
+/// Everything that does not change from block to block is built once in
+/// [`ShapedNoise::new`]: the per-bin amplitudes, the spectrum and sample
+/// buffers, and the FFT plan, which generators of the same block length
+/// share process-wide. After the first block, [`ShapedNoise::fill`]
+/// allocates nothing.
 ///
 /// # Examples
 ///
@@ -40,14 +49,15 @@ use rand::SeedableRng;
 /// # }
 /// ```
 pub struct ShapedNoise {
-    /// Per-bin one-sided density evaluated at bin centres.
-    bin_density: Vec<f64>,
+    /// Per-bin standard deviation of each drawn spectral component.
+    amplitude: Vec<f64>,
     sample_rate: f64,
-    block_len: usize,
-    fft: Fft,
+    plan: Arc<RealFft>,
     rng: StdRng,
-    /// Leftover samples from the previous block.
-    buffer: Vec<f64>,
+    /// One-sided spectrum of the block being synthesized.
+    spectrum: Vec<Complex64>,
+    /// The current block and the read position in it.
+    block: Vec<f64>,
     cursor: usize,
 }
 
@@ -55,9 +65,24 @@ impl std::fmt::Debug for ShapedNoise {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShapedNoise")
             .field("sample_rate", &self.sample_rate)
-            .field("block_len", &self.block_len)
+            .field("block_len", &self.block.len())
             .finish_non_exhaustive()
     }
+}
+
+/// The real-FFT plan for `size` points, planned once per process and
+/// shared: the lock covers only the map lookup and insert, never the
+/// planning.
+fn shared_plan(size: usize) -> Result<Arc<RealFft>, AnalogError> {
+    static PLANS: Mutex<BTreeMap<usize, Arc<RealFft>>> = Mutex::new(BTreeMap::new());
+    // Every update is one insert of a complete plan, so a poisoned map
+    // is still valid.
+    let plans = || PLANS.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(plan) = plans().get(&size) {
+        return Ok(Arc::clone(plan));
+    }
+    let plan = Arc::new(RealFft::new(size)?);
+    Ok(Arc::clone(plans().entry(size).or_insert(plan)))
 }
 
 impl ShapedNoise {
@@ -91,9 +116,15 @@ impl ShapedNoise {
                 reason: "must be a power of two of at least 2",
             });
         }
+        // A coefficient X[k] with E|X[k]|² = N·S₂(f_k)·fs reproduces the
+        // density after the inverse transform, where the two-sided
+        // density S₂ is S₁/2 on interior bins and S₁ at DC and Nyquist.
+        // Interior bins split that variance over a real and an
+        // imaginary part; DC and Nyquist are real.
         let df = sample_rate / block_len as f64;
-        let mut bin_density = Vec::with_capacity(block_len / 2 + 1);
-        for k in 0..=block_len / 2 {
+        let nyquist = block_len / 2;
+        let mut amplitude = Vec::with_capacity(nyquist + 1);
+        for k in 0..=nyquist {
             let d = density(k as f64 * df);
             if !(d >= 0.0) || !d.is_finite() {
                 return Err(AnalogError::InvalidParameter {
@@ -101,16 +132,22 @@ impl ShapedNoise {
                     reason: "must be non-negative and finite at all bin frequencies",
                 });
             }
-            bin_density.push(d);
+            let var = d * sample_rate * block_len as f64;
+            let per_part = if k == 0 || k == nyquist {
+                var
+            } else {
+                var / 4.0
+            };
+            amplitude.push(per_part.sqrt());
         }
         Ok(ShapedNoise {
-            bin_density,
+            amplitude,
             sample_rate,
-            block_len,
-            fft: Fft::new(block_len)?,
+            plan: shared_plan(block_len)?,
             rng: StdRng::seed_from_u64(seed),
-            buffer: Vec::new(),
-            cursor: 0,
+            spectrum: vec![Complex64::ZERO; nyquist + 1],
+            block: vec![0.0; block_len],
+            cursor: block_len,
         })
     }
 
@@ -119,59 +156,54 @@ impl ShapedNoise {
         self.sample_rate
     }
 
-    /// Generates `n` samples.
+    /// Fills `out` with the next `out.len()` samples. Successive calls
+    /// continue one sequence, so any split of a record into calls
+    /// yields the same bits.
     ///
     /// # Errors
     ///
     /// Propagates FFT errors (which cannot occur for a validated
     /// configuration, but the signature stays honest).
-    pub fn generate(&mut self, n: usize) -> Result<Vec<f64>, AnalogError> {
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
-            if self.cursor >= self.buffer.len() {
+    pub fn fill(&mut self, out: &mut [f64]) -> Result<(), AnalogError> {
+        let mut rest = out;
+        while !rest.is_empty() {
+            if self.cursor == self.block.len() {
                 self.synthesize_block()?;
             }
-            let take = (n - out.len()).min(self.buffer.len() - self.cursor);
-            out.extend_from_slice(&self.buffer[self.cursor..self.cursor + take]);
+            let take = rest.len().min(self.block.len() - self.cursor);
+            let (head, tail) = rest.split_at_mut(take);
+            head.copy_from_slice(&self.block[self.cursor..self.cursor + take]);
             self.cursor += take;
+            rest = tail;
         }
+        Ok(())
+    }
+
+    /// Generates `n` samples (see [`ShapedNoise::fill`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`ShapedNoise::fill`].
+    pub fn generate(&mut self, n: usize) -> Result<Vec<f64>, AnalogError> {
+        let mut out = vec![0.0; n];
+        self.fill(&mut out)?;
         Ok(out)
     }
 
+    /// Draws a fresh one-sided spectrum, DC to Nyquist, real part before
+    /// imaginary, and inverse-transforms it into `self.block`.
     fn synthesize_block(&mut self) -> Result<(), AnalogError> {
-        let n = self.block_len;
-        let df = self.sample_rate / n as f64;
-        let mut spec = vec![Complex64::ZERO; n];
-        for k in 0..=n / 2 {
-            // One-sided density S₁(f): the two-sided density is S₁/2 on
-            // interior bins. A spectral coefficient X[k] with
-            // E|X[k]|² = N·S₂(f_k)·fs reproduces the density after the
-            // inverse transform.
-            let one_sided = self.bin_density[k];
-            let two_sided = if k == 0 || (n.is_multiple_of(2) && k == n / 2) {
-                one_sided
-            } else {
-                one_sided / 2.0
-            };
-            let var = two_sided * self.sample_rate * n as f64;
-            let amp = var.sqrt();
-            let (re, im) = if k == 0 || (n.is_multiple_of(2) && k == n / 2) {
-                // Real-only bins.
-                (amp * standard_normal(&mut self.rng), 0.0)
-            } else {
-                (
-                    amp * std::f64::consts::FRAC_1_SQRT_2 * standard_normal(&mut self.rng),
-                    amp * std::f64::consts::FRAC_1_SQRT_2 * standard_normal(&mut self.rng),
-                )
-            };
-            spec[k] = Complex64::new(re, im);
-            if k != 0 && k != n / 2 {
-                spec[n - k] = spec[k].conj();
-            }
+        let last = self.spectrum.len() - 1;
+        let rng = &mut self.rng;
+        let amp = &self.amplitude;
+        self.spectrum[0] = Complex64::from_real(amp[0] * standard_normal(rng));
+        for (bin, &a) in self.spectrum[1..last].iter_mut().zip(&amp[1..last]) {
+            let re = a * standard_normal(rng);
+            *bin = Complex64::new(re, a * standard_normal(rng));
         }
-        let _ = df;
-        let time = self.fft.inverse(&spec)?;
-        self.buffer = time.iter().map(|z| z.re).collect();
+        self.spectrum[last] = Complex64::from_real(amp[last] * standard_normal(rng));
+        self.plan
+            .inverse_into(&mut self.spectrum, &mut self.block)?;
         self.cursor = 0;
         Ok(())
     }

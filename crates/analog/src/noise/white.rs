@@ -60,9 +60,19 @@ impl WhiteNoise {
         self.sigma * standard_normal(&mut self.rng)
     }
 
+    /// Fills `out` with the next `out.len()` samples, the same
+    /// sequence [`WhiteNoise::generate`] draws.
+    pub fn fill(&mut self, out: &mut [f64]) {
+        for v in out {
+            *v = self.next_sample();
+        }
+    }
+
     /// Generates `n` samples.
     pub fn generate(&mut self, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.next_sample()).collect()
+        let mut out = vec![0.0; n];
+        self.fill(&mut out);
+        out
     }
 
     /// One-sided density `σ²/(fs/2)` this generator exhibits when its

@@ -687,6 +687,7 @@ impl MeasurementSession {
             dut_stream,
             capture,
             reference,
+            source_chunk: Vec::new(),
             dut_out: Vec::new(),
             captured: Vec::new(),
             zeros: Vec::new(),
@@ -827,6 +828,7 @@ pub(crate) struct StateChain<'a> {
     dut_stream: Box<dyn DutStream + 'a>,
     capture: Box<dyn CaptureStream + 'a>,
     reference: Option<SineSource>,
+    source_chunk: Vec<f64>,
     dut_out: Vec<f64>,
     captured: Vec<f64>,
     zeros: Vec<f64>,
@@ -849,10 +851,12 @@ impl StateChain<'_> {
         let chunk_len = chunk_len.max(1);
         while self.produced < target {
             let m = chunk_len.min(target - self.produced);
-            let source_chunk = self.source_stream.generate(m);
+            self.source_chunk.resize(m, 0.0);
+            self.source_stream.fill(&mut self.source_chunk);
             self.produced += m;
             self.dut_out.clear();
-            self.dut_stream.push(&source_chunk, &mut self.dut_out)?;
+            self.dut_stream
+                .push(&self.source_chunk, &mut self.dut_out)?;
             self.condition_capture(sink)?;
         }
         Ok(())

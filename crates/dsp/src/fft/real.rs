@@ -21,6 +21,12 @@
 //! for free, which is how the untangle pass runs in place over pairs of
 //! bins). The remaining `N/2−1..N` bins are the conjugate mirror and
 //! are never materialized.
+//!
+//! [`RealFft::inverse_into`] runs the same identity backwards: it
+//! re-tangles the one-sided bins into `Z`, inverts once at `N/2` points
+//! and reads the even and odd samples off the real and imaginary lanes.
+//! Shaped-noise synthesis uses it to turn a random one-sided spectrum
+//! into a real record.
 
 use crate::complex::Complex64;
 use crate::fft::Fft;
@@ -175,6 +181,74 @@ impl RealFft {
         out[m] = Complex64::from_real(z0.re - z0.im);
         Ok(())
     }
+
+    /// Inverse transform of `N/2 + 1` one-sided bins into `N` real
+    /// samples (applies the `1/N` scale, matching [`Fft::inverse`] on
+    /// the conjugate-symmetric extension of `spec`) — the mirror of
+    /// [`RealFft::forward_into`]. The bins are re-tangled into the
+    /// packed spectrum `Z[k] = E[k] + j·O[k]`, with
+    /// `E[k] = X[k] + X*[M−k]` and `O[k] = W_N^{−k}·(X[k] − X*[M−k])`
+    /// (both doubled, which the final `1/N` absorbs), and one `N/2`-point
+    /// complex inverse yields `z[m] = x[2m] + j·x[2m+1]`.
+    ///
+    /// The first `N/2` slots of `spec` are the work buffer, so `spec`
+    /// holds no meaningful values on return and no scratch is needed.
+    /// The imaginary parts of the DC and Nyquist bins are ignored, as
+    /// they are zero for every real signal.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DspError::LengthMismatch`] if
+    /// `spec.len() != self.output_len()` or `out.len() != self.size()`.
+    pub fn inverse_into(&self, spec: &mut [Complex64], out: &mut [f64]) -> Result<(), DspError> {
+        if spec.len() != self.output_len() {
+            return Err(DspError::LengthMismatch {
+                expected: self.output_len(),
+                actual: spec.len(),
+                context: "real fft inverse_into (input)",
+            });
+        }
+        if out.len() != self.size {
+            return Err(DspError::LengthMismatch {
+                expected: self.size,
+                actual: out.len(),
+                context: "real fft inverse_into (output)",
+            });
+        }
+        let Some(inner) = &self.inner else {
+            out[0] = spec[0].re;
+            return Ok(());
+        };
+        let m = self.size / 2;
+
+        // Re-tangle in place, pairwise over (k, M−k):
+        // Z[M−k] = E*[k] + j·O*[k] = (E[k] − j·O[k])*.
+        let (x0, xm) = (spec[0].re, spec[m].re);
+        for (k, &w) in (1..).zip(&self.twiddles) {
+            let xk = spec[k];
+            let xc = spec[m - k].conj();
+            let e = xk + xc;
+            let o = w.conj() * (xk - xc);
+            let jo = Complex64::new(-o.im, o.re);
+            spec[k] = e + jo;
+            spec[m - k] = (e - jo).conj();
+        }
+        if m >= 2 {
+            // Self-conjugate bin k = M/2: the re-tangle collapses to a
+            // (doubled) conjugation.
+            spec[m / 2] = spec[m / 2].conj().scale(2.0);
+        }
+        spec[0] = Complex64::new(x0 + xm, x0 - xm);
+        super::radix2::inverse(&mut spec[..m], &inner.stage_twiddles, &inner.bit_rev);
+
+        // Unpack even/odd samples with the 1/N scale.
+        let scale = 1.0 / self.size as f64;
+        for (pair, z) in out.chunks_exact_mut(2).zip(&spec[..m]) {
+            pair[0] = z.re * scale;
+            pair[1] = z.im * scale;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -272,6 +346,64 @@ mod tests {
         let mut bad = vec![Complex64::ZERO; plan.output_len() - 1];
         assert!(plan.forward_into(&x, &mut bad).is_err());
         assert!(plan.forward(&x[..3]).is_err());
+    }
+
+    #[test]
+    fn inverse_into_roundtrips_forward() {
+        for n in [1usize, 2, 4, 8, 16, 64, 1024] {
+            let x = real_signal(n);
+            let plan = RealFft::new(n).unwrap();
+            let mut spec = plan.forward(&x).unwrap();
+            let mut back = vec![f64::NAN; n];
+            plan.inverse_into(&mut spec, &mut back).unwrap();
+            for (j, (a, b)) in back.iter().zip(&x).enumerate() {
+                assert!((a - b).abs() < 1e-12 * n as f64, "n={n} sample {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn inverse_into_matches_complex_inverse_of_hermitian_extension() {
+        for n in [2usize, 4, 8, 32, 256] {
+            // An arbitrary one-sided spectrum (real DC and Nyquist).
+            let half: Vec<Complex64> = (0..=n / 2)
+                .map(|k| {
+                    let im = if k == 0 || k == n / 2 {
+                        0.0
+                    } else {
+                        (k as f64 * 0.7).cos()
+                    };
+                    Complex64::new((k as f64 * 0.3).sin() + 0.2, im)
+                })
+                .collect();
+            let mut full = vec![Complex64::ZERO; n];
+            for (k, &z) in half.iter().enumerate() {
+                full[k] = z;
+                if k != 0 && k != n / 2 {
+                    full[n - k] = z.conj();
+                }
+            }
+            let oracle = Fft::new(n).unwrap().inverse(&full).unwrap();
+            let mut spec = half.clone();
+            let mut out = vec![0.0; n];
+            RealFft::new(n)
+                .unwrap()
+                .inverse_into(&mut spec, &mut out)
+                .unwrap();
+            for (j, (a, b)) in out.iter().zip(&oracle).enumerate() {
+                assert!((a - b.re).abs() < 1e-12 * n as f64, "n={n} sample {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn inverse_into_rejects_bad_lengths() {
+        let plan = RealFft::new(16).unwrap();
+        let mut spec = vec![Complex64::ZERO; plan.output_len()];
+        let mut out = vec![0.0; 16];
+        assert!(plan.inverse_into(&mut spec[..8], &mut out).is_err());
+        assert!(plan.inverse_into(&mut spec, &mut out[..15]).is_err());
+        assert!(plan.inverse_into(&mut spec, &mut out).is_ok());
     }
 
     #[test]

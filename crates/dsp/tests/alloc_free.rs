@@ -1,6 +1,7 @@
 //! Proof that the steady-state workspace PSD path is allocation-free.
 //!
-//! A counting global allocator wraps the system allocator; after a
+//! A counting global allocator (`support/alloc_count.rs`) wraps the
+//! system allocator and counts the measuring thread only; after a
 //! warm-up call populates the [`DspWorkspace`] plan cache, repeated
 //! `estimate_into` calls must perform **zero** heap allocations — no
 //! FFT re-planning, no segment/spectrum/accumulator buffers. This is
@@ -8,53 +9,12 @@
 //! hot loop runs at memory-bandwidth speed with nothing for the
 //! allocator to do.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+#[path = "support/alloc_count.rs"]
+mod alloc_count;
 
+use alloc_count::{allocations, serialize_test};
 use nfbist_dsp::psd::{DspWorkspace, PeriodogramConfig, WelchConfig};
 use nfbist_dsp::window::Window;
-
-/// The allocation counter is process-global while libtest runs tests
-/// on concurrent threads, so every test body in this binary holds this
-/// lock: otherwise another test's setup allocations could land inside
-/// a measured window and fail the `count == 0` assertion spuriously.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serialize_test() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY-FREE NOTE: the allocator merely delegates to `System` and
-// bumps a counter; `unsafe` is confined to the required trait impl.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let out = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
-}
 
 fn noise(n: usize, seed: u64) -> Vec<f64> {
     let mut state = seed;
